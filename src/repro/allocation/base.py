@@ -12,7 +12,7 @@ import abc
 import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from ..pricing.load_profile import LoadProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from .arrays import CompiledProblem
+    from .cache import AllocationCache
 
 
 @dataclass(frozen=True)
@@ -294,6 +295,23 @@ class Allocator(abc.ABC):
             cache_hit=result.cache_hit,
         )
 
+    def solve_columnar_batch(
+        self,
+        compiled_days: Sequence["CompiledProblem"],
+        pricing: PricingModel,
+        rngs: Sequence[Optional[random.Random]],
+    ) -> List[ColumnarAllocationResult]:
+        """Solve D compiled days, one tie-break rng per day.
+
+        The default is the per-day loop over :meth:`solve_columnar`;
+        allocators with a fused multi-day kernel (the greedy one)
+        override it with a bit-identical single pass.
+        """
+        return [
+            self.solve_columnar(compiled, pricing, rng)
+            for compiled, rng in zip(compiled_days, rngs)
+        ]
+
     def cache_token(self) -> Optional[str]:
         """Identity string for allocation memoization, or ``None``.
 
@@ -344,3 +362,28 @@ class Allocator(abc.ABC):
             root_bound_matched=root_bound_matched,
             kernel_backend=kernel_backend,
         )
+
+
+def solve_columnar_days(
+    allocator: Allocator,
+    compiled_days: Sequence["CompiledProblem"],
+    pricing: PricingModel,
+    rngs: Sequence[Optional[random.Random]],
+    alloc_cache: Optional["AllocationCache"] = None,
+) -> List[ColumnarAllocationResult]:
+    """Allocate D compiled days: the one place that picks how.
+
+    With an ``alloc_cache`` every day routes through it (hits replay
+    stored results; misses solve per day); otherwise the allocator's
+    :meth:`~Allocator.solve_columnar_batch` runs the whole batch.
+    """
+    if len(rngs) != len(compiled_days):
+        raise ValueError(
+            f"got {len(rngs)} rngs for {len(compiled_days)} days; need one per day"
+        )
+    if alloc_cache is not None:
+        return [
+            alloc_cache.solve_columnar(allocator, compiled, pricing, rng)
+            for compiled, rng in zip(compiled_days, rngs)
+        ]
+    return allocator.solve_columnar_batch(compiled_days, pricing, rngs)

@@ -162,8 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "columnar-only: fuse up to this many consecutive days per "
             "worker task into batched array passes "
-            "(fig4/fig5/fig6/simulate); results are bit-identical to the "
-            "per-day path"
+            "(fig4/fig5/fig6/simulate); results are bit-identical for "
+            "every value (default 1: one-day batches)"
         ),
     )
     parser.add_argument(

@@ -25,6 +25,7 @@ from ..allocation.base import (
     AllocationResult,
     Allocator,
     ColumnarAllocationResult,
+    solve_columnar_days,
 )
 from ..allocation.greedy import GreedyFlexibilityAllocator
 from ..pricing.base import PricingModel
@@ -117,11 +118,11 @@ class Settlement:
 class ColumnarSettlement:
     """A day's settlement as parallel arrays, one row per billed household.
 
-    The array twin of :class:`Settlement`, produced by
-    :meth:`EnkiMechanism.settle_arrays`; :meth:`to_settlement` bridges to
-    the dict form (the bridge is how the object path's
-    :meth:`EnkiMechanism.settle` is implemented, so the two are the same
-    computation by construction).
+    The array twin of :class:`Settlement`, one per day produced by
+    :meth:`EnkiMechanism.settle_arrays_batch`; :meth:`to_settlement`
+    bridges to the dict form (the bridge is how the object path's
+    :meth:`EnkiMechanism.settle` is implemented — a batch of one day —
+    so the two are the same computation by construction).
     """
 
     ids: Tuple[HouseholdId, ...]
@@ -297,11 +298,10 @@ class EnkiMechanism:
     ) -> Settlement:
         """Bill a completed day (Eqs. 3-8).
 
-        The whole scoring chain (flexibility, defection, social cost,
-        payments, valuations, utilities, overlaps) runs batched over
-        parallel numpy arrays — one pass to unpack the intervals, then
-        pure array arithmetic — so settlement cost is dominated by O(n)
-        array construction rather than per-household Python loops.
+        The object bridge into :meth:`settle_arrays_batch`: one pass
+        unpacks the intervals into parallel arrays, the scoring chain
+        runs as a batch of one day, and the result is materialized back
+        into per-household dicts.
         """
         validate_allocation(dict(reports), allocation)
         validate_consumption(neighborhood.households, consumption)
@@ -313,114 +313,26 @@ class EnkiMechanism:
         # realized cost of exactly the households being billed.
         ids = [h for h in types if h in allocation]
         n = len(ids)
-        alloc_starts = np.fromiter((allocation[h].start for h in ids), np.intp, count=n)
-        alloc_ends = np.fromiter((allocation[h].end for h in ids), np.intp, count=n)
-        cons_starts = np.fromiter((consumption[h].start for h in ids), np.intp, count=n)
-        cons_ends = np.fromiter((consumption[h].end for h in ids), np.intp, count=n)
-        ratings = np.fromiter((types[h].rating_kw for h in ids), float, count=n)
-        rep_starts = np.fromiter(
-            (reports[h].preference.window.start for h in ids), np.intp, count=n
-        )
-        rep_ends = np.fromiter(
-            (reports[h].preference.window.end for h in ids), np.intp, count=n
-        )
-        rep_durations = np.fromiter(
-            (reports[h].preference.duration for h in ids), np.intp, count=n
-        )
 
-        true_starts = np.fromiter(
-            (types[h].true_preference.window.start for h in ids), np.intp, count=n
-        )
-        true_ends = np.fromiter(
-            (types[h].true_preference.window.end for h in ids), np.intp, count=n
-        )
-        true_durations = np.fromiter(
-            (types[h].true_preference.duration for h in ids), np.intp, count=n
-        )
-        factors = np.fromiter(
-            (types[h].valuation_factor for h in ids), float, count=n
-        )
+        def column(values, dtype=np.intp) -> np.ndarray:
+            return np.fromiter(values, dtype, count=n)
 
-        return self.settle_arrays(
-            ids=tuple(ids),
-            alloc_starts=alloc_starts,
-            alloc_ends=alloc_ends,
-            cons_starts=cons_starts,
-            cons_ends=cons_ends,
-            ratings=ratings,
-            rep_starts=rep_starts,
-            rep_ends=rep_ends,
-            rep_durations=rep_durations,
-            true_starts=true_starts,
-            true_ends=true_ends,
-            true_durations=true_durations,
-            factors=factors,
-        ).to_settlement()
-
-    def settle_arrays(
-        self,
-        ids: Tuple[HouseholdId, ...],
-        alloc_starts: np.ndarray,
-        alloc_ends: np.ndarray,
-        cons_starts: np.ndarray,
-        cons_ends: np.ndarray,
-        ratings: np.ndarray,
-        rep_starts: np.ndarray,
-        rep_ends: np.ndarray,
-        rep_durations: np.ndarray,
-        true_starts: np.ndarray,
-        true_ends: np.ndarray,
-        true_durations: np.ndarray,
-        factors: np.ndarray,
-    ) -> ColumnarSettlement:
-        """The Eq. 3-8 scoring chain over parallel arrays.
-
-        The array core shared by :meth:`settle` (which unpacks objects
-        into these arrays) and the columnar day (which already has them);
-        all inputs are row-aligned over the households being billed.
-        """
-        profile = LoadProfile.from_arrays(cons_starts, cons_ends, ratings)
-        total_cost = self.pricing.cost(profile)
-
-        # Eq. 4: realized flexibility — predicted score gated on compliance.
-        followed = (alloc_starts == cons_starts) & (alloc_ends == cons_ends)
-        flexibility_arr = np.where(
-            followed, flexibility_vector(rep_starts, rep_ends, rep_durations), 0.0
-        )
-        # Eq. 5 / Eq. 6 / Eq. 7, all batched.
-        defection_arr = defection_vector(
-            alloc_starts, alloc_ends, cons_starts, cons_ends, ratings, self.pricing
-        )
-        social_arr = social_cost_vector(flexibility_arr, defection_arr, self.k)
-        payments_arr = payments_vector(social_arr, total_cost, self.xi)
-
-        # Eq. 3 against the *true* windows, and Eq. 8 utilities.
-        tau = np.clip(
-            np.minimum(alloc_ends, true_ends) - np.maximum(alloc_starts, true_starts),
-            0,
-            None,
-        )
-        valuations_arr = valuation_vector(tau, true_durations, factors)
-        utilities_arr = valuations_arr - payments_arr
-        overlaps_arr = np.clip(
-            np.minimum(alloc_ends, cons_ends) - np.maximum(alloc_starts, cons_starts),
-            0,
-            None,
-        ) / (alloc_ends - alloc_starts)
-
-        return ColumnarSettlement(
-            ids=tuple(ids),
-            total_cost=total_cost,
-            flexibility=flexibility_arr,
-            defection=defection_arr,
-            social_cost=social_arr,
-            payments=payments_arr,
-            valuations=valuations_arr,
-            utilities=utilities_arr,
-            overlap_fractions=overlaps_arr,
-            neighborhood_utility=float(payments_arr.sum()) - total_cost,
-            load_profile=profile,
-        )
+        return self.settle_arrays_batch(
+            ids=[tuple(ids)],
+            offsets=np.array([0, n], dtype=np.intp),
+            alloc_starts=column(allocation[h].start for h in ids),
+            alloc_ends=column(allocation[h].end for h in ids),
+            cons_starts=column(consumption[h].start for h in ids),
+            cons_ends=column(consumption[h].end for h in ids),
+            ratings=column((types[h].rating_kw for h in ids), float),
+            rep_starts=column(reports[h].preference.window.start for h in ids),
+            rep_ends=column(reports[h].preference.window.end for h in ids),
+            rep_durations=column(reports[h].preference.duration for h in ids),
+            true_starts=column(types[h].true_preference.window.start for h in ids),
+            true_ends=column(types[h].true_preference.window.end for h in ids),
+            true_durations=column(types[h].true_preference.duration for h in ids),
+            factors=column((types[h].valuation_factor for h in ids), float),
+        )[0].to_settlement()
 
     def settle_arrays_batch(
         self,
@@ -449,7 +361,7 @@ class EnkiMechanism:
         the defection baseline, the Eq. 6/7 normalizations) loops over
         per-day slices, preserving each day's float accumulation
         sequence, so every returned :class:`ColumnarSettlement` is
-        bit-identical to a per-day :meth:`settle_arrays` call.
+        bit-identical to settling that day alone (a batch of one).
         """
         followed = (alloc_starts == cons_starts) & (alloc_ends == cons_ends)
         tau = np.clip(
@@ -542,41 +454,6 @@ class EnkiMechanism:
             quarantine_decisions=decisions,
         )
 
-    def allocate_columnar(
-        self,
-        neighborhood: ColumnarNeighborhood,
-        reports: ColumnarReports,
-        rng: Optional[random.Random] = None,
-    ) -> ColumnarAllocationResult:
-        """Solve a columnar day's allocation problem.
-
-        Reports are lowered straight into a
-        :class:`~repro.allocation.arrays.CompiledProblem` and handed to
-        the allocator's columnar kernel (the greedy one is native; others
-        bridge through the object path).  The returned begin slots are
-        validated against the reported windows — the array counterpart of
-        :func:`~repro.core.types.validate_allocation`.
-        """
-        rng = rng if rng is not None else random.Random(self._seed)
-        compiled = reports.compile(neighborhood, self.pricing)
-        if self.alloc_cache is not None:
-            result = self.alloc_cache.solve_columnar(
-                self.allocator, compiled, self.pricing, rng
-            )
-        else:
-            result = self.allocator.solve_columnar(compiled, self.pricing, rng)
-        starts = result.starts
-        bad = (starts < reports.start) | (starts + reports.duration > reports.end)
-        if bool(np.any(bad)):
-            i = int(np.argmax(bad))
-            raise IntervalError(
-                f"allocation [{int(starts[i])}, "
-                f"{int(starts[i] + reports.duration[i])}) for "
-                f"{reports.ids[i]!r} violates report window "
-                f"[{int(reports.start[i])}, {int(reports.end[i])})"
-            )
-        return result
-
     def run_day_columnar(
         self,
         neighborhood: ColumnarNeighborhood,
@@ -586,33 +463,10 @@ class EnkiMechanism:
         """Run one full day on the columnar path: allocate, consume, settle.
 
         The array counterpart of :meth:`run_day` with closest-feasible
-        consumption: truthful reports when ``reports`` is omitted, the
-        configured quarantine applied first (typed rows are re-validated,
-        so the screen is an accept-all no-op on clean days), and the whole
-        Eq. 3-8 settlement batched.  No per-household objects exist at any
-        point.
+        consumption, and exactly :meth:`run_days_columnar` over a batch
+        of one day.  No per-household objects exist at any point.
         """
-        if reports is None:
-            reports = ColumnarReports.truthful(neighborhood)
-        if reports.ids != neighborhood.ids:
-            raise ValueError("reports and neighborhood rows are not aligned")
-        decisions: Tuple = ()
-        kept = np.ones(len(neighborhood), dtype=bool)
-        if self.quarantine is not None:
-            screened = self.quarantine.screen_columnar(
-                neighborhood,
-                reports.start.astype(float),
-                reports.end.astype(float),
-                reports.duration.astype(float),
-            )
-            reports = screened.accepted
-            kept = screened.kept
-            decisions = tuple(screened.decisions)
-            neighborhood = neighborhood.take(kept)
-        result = self.allocate_columnar(neighborhood, reports, rng)
-        return self.finish_day_columnar(
-            neighborhood, reports, result, kept=kept, decisions=decisions
-        )
+        return self.run_days_columnar(neighborhood, [rng], reports)[0]
 
     def run_days_columnar(
         self,
@@ -620,120 +474,24 @@ class EnkiMechanism:
         rngs: Sequence[Optional[random.Random]],
         reports: Optional[ColumnarReports] = None,
     ) -> List[ColumnarDayOutcome]:
-        """Run D days over one fixed neighborhood as a fused batch.
+        """Run D days over one fixed neighborhood: the columnar day core.
 
-        The batched twin of D :meth:`run_day_columnar` calls where only
-        the tie-break rng differs per day (the
-        :class:`repro.sim.engine.NeighborhoodSimulation` shape): the
-        screen and the problem compilation happen once, the greedy
-        placement sweep runs as one
-        :meth:`~repro.allocation.greedy.GreedyFlexibilityAllocator.
-        solve_columnar_batch` kernel call over all D days (per-day solves
-        through the configured ``alloc_cache``, or for allocators without
-        a batch kernel, replace the fused path), and settlement is one
-        :meth:`settle_arrays_batch`.  Outcomes are bit-identical to the
-        per-day loop, day by day.
+        Only the tie-break rng differs per day (the
+        :class:`repro.sim.engine.NeighborhoodSimulation` shape), so the
+        reports (truthful when omitted; the configured quarantine applied
+        first, which re-validates typed rows and is an accept-all no-op on
+        clean days) are screened and compiled once, all D allocations come
+        from :func:`~repro.allocation.base.solve_columnar_days` (the cache,
+        the allocator's fused batch kernel, or its per-day loop), and the
+        back half checks windows, realizes consumption and settles every
+        day in one set of array passes.  Day ``k``'s outcome does not
+        depend on how many days share the batch.
         """
-        if reports is None:
-            reports = ColumnarReports.truthful(neighborhood)
-        if reports.ids != neighborhood.ids:
-            raise ValueError("reports and neighborhood rows are not aligned")
-        decisions: Tuple = ()
-        kept = np.ones(len(neighborhood), dtype=bool)
-        if self.quarantine is not None:
-            # One screen serves all D days: every day sees the same rows,
-            # so the per-day loop would reproduce these exact decisions
-            # each day.
-            screened = self.quarantine.screen_columnar(
-                neighborhood,
-                reports.start.astype(float),
-                reports.end.astype(float),
-                reports.duration.astype(float),
-            )
-            reports = screened.accepted
-            kept = screened.kept
-            decisions = tuple(screened.decisions)
-            neighborhood = neighborhood.take(kept)
-        n_days = len(rngs)
-        compiled = reports.compile(neighborhood, self.pricing)
-        rngs = [
-            rng if rng is not None else random.Random(self._seed) for rng in rngs
-        ]
-        if self.alloc_cache is not None:
-            results = [
-                self.alloc_cache.solve_columnar(
-                    self.allocator, compiled, self.pricing, rng
-                )
-                for rng in rngs
-            ]
-        elif hasattr(self.allocator, "solve_columnar_batch"):
-            results = self.allocator.solve_columnar_batch(
-                [compiled] * n_days, self.pricing, rngs
-            )
-        else:
-            results = [
-                self.allocator.solve_columnar(compiled, self.pricing, rng)
-                for rng in rngs
-            ]
-
-        # Fused back half: validation, closest-feasible consumption and
-        # the elementwise settlement passes run once over the stacked
-        # D x n rows; day-local reductions stay per-day inside
-        # settle_arrays_batch.  Same formulas as finish_day_columnar, row
-        # for row.
-        n = len(neighborhood)
-        offsets = np.arange(n_days + 1, dtype=np.intp) * n
-        alloc_starts = (
-            np.concatenate([result.starts for result in results])
-            if results
-            else np.zeros(0, dtype=np.intp)
+        neighborhood, reports, kept, decisions = self.screen_day_columnar(
+            neighborhood, reports=reports
         )
-        rep_start = np.tile(reports.start, n_days)
-        rep_end = np.tile(reports.end, n_days)
-        v = np.tile(neighborhood.duration, n_days)
-        bad = (alloc_starts < rep_start) | (alloc_starts + v > rep_end)
-        if bool(np.any(bad)):
-            i = int(np.argmax(bad))
-            raise IntervalError(
-                f"allocation [{int(alloc_starts[i])}, "
-                f"{int(alloc_starts[i] + v[i])}) for "
-                f"{reports.ids[i % n]!r} violates report window "
-                f"[{int(rep_start[i])}, {int(rep_end[i])})"
-            )
-        true_start = np.tile(neighborhood.true_start, n_days)
-        true_end = np.tile(neighborhood.true_end, n_days)
-        cons_starts = np.clip(alloc_starts, true_start, true_end - v)
-        overlap = v - np.abs(cons_starts - alloc_starts)
-        cons_starts = np.where(overlap > 0, cons_starts, true_start)
-
-        settlements = self.settle_arrays_batch(
-            ids=[neighborhood.ids] * n_days,
-            offsets=offsets,
-            alloc_starts=alloc_starts,
-            alloc_ends=alloc_starts + v,
-            cons_starts=cons_starts,
-            cons_ends=cons_starts + v,
-            ratings=np.tile(neighborhood.rating, n_days),
-            rep_starts=rep_start,
-            rep_ends=rep_end,
-            rep_durations=np.tile(reports.duration, n_days),
-            true_starts=true_start,
-            true_ends=true_end,
-            true_durations=v,
-            factors=np.tile(neighborhood.valuation, n_days),
-        )
-        return [
-            ColumnarDayOutcome(
-                neighborhood=neighborhood,
-                reports=reports,
-                allocation_result=result,
-                consumption_starts=cons_starts[offsets[k]:offsets[k + 1]],
-                settlement=settlement,
-                kept=kept,
-                quarantine_decisions=decisions,
-            )
-            for k, (result, settlement) in enumerate(zip(results, settlements))
-        ]
+        results = self._allocate_days(neighborhood, reports, rngs)
+        return self._finish_days(neighborhood, reports, results, kept, decisions)
 
     def run_day_columnar_raw(
         self,
@@ -755,48 +513,10 @@ class EnkiMechanism:
         :class:`~repro.robustness.errors.InvalidReportError` — the strict
         counterpart of the ``reject`` policy.
         """
-        begin = np.asarray(begin, dtype=float)
-        end = np.asarray(end, dtype=float)
-        if duration is None:
-            duration = neighborhood.duration.astype(float)
-        else:
-            duration = np.asarray(duration, dtype=float)
-        if self.quarantine is not None:
-            screened = self.quarantine.screen_columnar(
-                neighborhood, begin, end, duration
-            )
-            reports = screened.accepted
-            kept = screened.kept
-            decisions = tuple(screened.decisions)
-            neighborhood = neighborhood.take(kept)
-        else:
-            with np.errstate(invalid="ignore"):
-                integral = (
-                    np.isfinite(begin)
-                    & np.isfinite(end)
-                    & np.isfinite(duration)
-                    & (begin == np.trunc(begin))
-                    & (end == np.trunc(end))
-                    & (duration == np.trunc(duration))
-                )
-            if not bool(np.all(integral)):
-                i = int(np.argmin(integral))
-                from ..robustness.errors import InvalidReportError
-
-                raise InvalidReportError(
-                    str(neighborhood.ids[i]),
-                    "non-integer-bound",
-                    f"bounds ({begin[i]!r}, {end[i]!r})",
-                )
-            reports = ColumnarReports(
-                ids=neighborhood.ids,
-                start=begin.astype(np.intp),
-                end=end.astype(np.intp),
-                duration=duration.astype(np.intp),
-            )
-            kept = np.ones(len(neighborhood), dtype=bool)
-            decisions = ()
-        result = self.allocate_columnar(neighborhood, reports, rng)
+        neighborhood, reports, kept, decisions = self.screen_day_columnar(
+            neighborhood, wire=(begin, end, duration)
+        )
+        (result,) = self._allocate_days(neighborhood, reports, [rng])
         return self.finish_day_columnar(
             neighborhood, reports, result, kept=kept, decisions=decisions
         )
@@ -805,30 +525,118 @@ class EnkiMechanism:
         self,
         neighborhood: ColumnarNeighborhood,
         reports: ColumnarReports,
-        result: "ColumnarAllocationResult",
+        result: ColumnarAllocationResult,
         kept: Optional[np.ndarray] = None,
         decisions: Tuple = (),
     ) -> ColumnarDayOutcome:
         """Settle an already-allocated columnar day.
 
-        The back half of :meth:`run_day_columnar`, split out so drivers
+        The back half of the day core over a batch of one, for drivers
         that produce the allocation elsewhere (the row-sharded large-n
-        path in :mod:`repro.sim.engine`) reuse the exact consumption and
-        Eq. 3-8 settlement chain.  The begin slots are (re)validated
-        against the reported windows before anything is settled.
+        path in :mod:`repro.sim.engine`): the begin slots are
+        (re)validated against the reported windows, then the same
+        consumption and Eq. 3-8 settlement chain runs.
         """
-        starts = result.starts
-        bad = (starts < reports.start) | (starts + reports.duration > reports.end)
+        if kept is None:
+            kept = np.ones(len(neighborhood), dtype=bool)
+        return self._finish_days(
+            neighborhood, reports, [result], kept, decisions
+        )[0]
+
+    def screen_day_columnar(
+        self,
+        neighborhood: ColumnarNeighborhood,
+        reports: Optional[ColumnarReports] = None,
+        wire: Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None,
+    ) -> Tuple[ColumnarNeighborhood, ColumnarReports, np.ndarray, Tuple]:
+        """Screen a columnar day's reports: the one entry to the day core.
+
+        Takes typed ``reports`` (truthful when omitted) or raw ``wire``
+        arrays ``(begin, end, duration)``, and returns the surviving
+        neighborhood rows, their reports, the kept mask over the input
+        rows and the quarantine decisions.  Without a quarantine, typed
+        reports are trusted as they are, while wire arrays are screened
+        under the ``reject`` policy so the first malformed row raises
+        :class:`~repro.robustness.errors.InvalidReportError`.
+        """
+        quarantine = self.quarantine
+        if wire is None:
+            if reports is None:
+                reports = ColumnarReports.truthful(neighborhood)
+            elif reports.ids != neighborhood.ids:
+                raise ValueError("reports and neighborhood rows are not aligned")
+            if quarantine is None:
+                kept = np.ones(len(neighborhood), dtype=bool)
+                return neighborhood, reports, kept, ()
+            wire = (
+                reports.start.astype(float),
+                reports.end.astype(float),
+                reports.duration.astype(float),
+            )
+        elif quarantine is None:
+            from ..robustness.quarantine import Quarantine
+
+            quarantine = Quarantine("reject")
+        screened = quarantine.screen_columnar(neighborhood, *wire)
+        return (
+            neighborhood.take(screened.kept),
+            screened.accepted,
+            screened.kept,
+            tuple(screened.decisions),
+        )
+
+    def _allocate_days(
+        self,
+        neighborhood: ColumnarNeighborhood,
+        reports: ColumnarReports,
+        rngs: Sequence[Optional[random.Random]],
+    ) -> List[ColumnarAllocationResult]:
+        """Compile the screened day once and allocate it under each rng."""
+        compiled = reports.compile(neighborhood, self.pricing)
+        return solve_columnar_days(
+            self.allocator,
+            [compiled] * len(rngs),
+            self.pricing,
+            [rng if rng is not None else random.Random(self._seed) for rng in rngs],
+            self.alloc_cache,
+        )
+
+    def _finish_days(
+        self,
+        neighborhood: ColumnarNeighborhood,
+        reports: ColumnarReports,
+        results: Sequence[ColumnarAllocationResult],
+        kept: np.ndarray,
+        decisions: Tuple,
+    ) -> List[ColumnarDayOutcome]:
+        """Check, consume and settle D allocations of one screened day.
+
+        The begin slots of all D days are stacked day-major, validated
+        against the reported windows (the array counterpart of
+        :func:`~repro.core.types.validate_allocation`) and turned into
+        closest-feasible consumption in single passes; the day-local
+        reductions stay per day inside :meth:`settle_arrays_batch`.
+        """
+        n_days = len(results)
+        n = len(neighborhood)
+        offsets = np.arange(n_days + 1, dtype=np.intp) * n
+        alloc_starts = (
+            np.concatenate([result.starts for result in results])
+            if results
+            else np.zeros(0, dtype=np.intp)
+        )
+        rep_start = np.tile(reports.start, n_days)
+        rep_end = np.tile(reports.end, n_days)
+        rep_duration = np.tile(reports.duration, n_days)
+        bad = (alloc_starts < rep_start) | (alloc_starts + rep_duration > rep_end)
         if bool(np.any(bad)):
             i = int(np.argmax(bad))
             raise IntervalError(
-                f"allocation [{int(starts[i])}, "
-                f"{int(starts[i] + reports.duration[i])}) for "
-                f"{reports.ids[i]!r} violates report window "
-                f"[{int(reports.start[i])}, {int(reports.end[i])})"
+                f"allocation [{int(alloc_starts[i])}, "
+                f"{int(alloc_starts[i] + rep_duration[i])}) for "
+                f"{reports.ids[i % n]!r} violates report window "
+                f"[{int(rep_start[i])}, {int(rep_end[i])})"
             )
-        if kept is None:
-            kept = np.ones(len(neighborhood), dtype=bool)
 
         # Closest-feasible consumption, vectorized: consumption shares the
         # (metered) duration, so overlap with the allocation is
@@ -836,35 +644,38 @@ class EnkiMechanism:
         # allocation maximizes it; when even that overlaps nothing, every
         # in-window start ties at zero and the scalar rule picks the
         # earliest.
-        v = neighborhood.duration
-        alloc_starts = result.starts
-        cons_starts = np.clip(
-            alloc_starts, neighborhood.true_start, neighborhood.true_end - v
-        )
+        v = np.tile(neighborhood.duration, n_days)
+        true_start = np.tile(neighborhood.true_start, n_days)
+        true_end = np.tile(neighborhood.true_end, n_days)
+        cons_starts = np.clip(alloc_starts, true_start, true_end - v)
         overlap = v - np.abs(cons_starts - alloc_starts)
-        cons_starts = np.where(overlap > 0, cons_starts, neighborhood.true_start)
+        cons_starts = np.where(overlap > 0, cons_starts, true_start)
 
-        settlement = self.settle_arrays(
-            ids=neighborhood.ids,
+        settlements = self.settle_arrays_batch(
+            ids=[neighborhood.ids] * n_days,
+            offsets=offsets,
             alloc_starts=alloc_starts,
             alloc_ends=alloc_starts + v,
             cons_starts=cons_starts,
             cons_ends=cons_starts + v,
-            ratings=neighborhood.rating,
-            rep_starts=reports.start,
-            rep_ends=reports.end,
-            rep_durations=reports.duration,
-            true_starts=neighborhood.true_start,
-            true_ends=neighborhood.true_end,
-            true_durations=neighborhood.duration,
-            factors=neighborhood.valuation,
+            ratings=np.tile(neighborhood.rating, n_days),
+            rep_starts=rep_start,
+            rep_ends=rep_end,
+            rep_durations=rep_duration,
+            true_starts=true_start,
+            true_ends=true_end,
+            true_durations=v,
+            factors=np.tile(neighborhood.valuation, n_days),
         )
-        return ColumnarDayOutcome(
-            neighborhood=neighborhood,
-            reports=reports,
-            allocation_result=result,
-            consumption_starts=cons_starts,
-            settlement=settlement,
-            kept=kept,
-            quarantine_decisions=decisions,
-        )
+        return [
+            ColumnarDayOutcome(
+                neighborhood=neighborhood,
+                reports=reports,
+                allocation_result=result,
+                consumption_starts=cons_starts[offsets[k]:offsets[k + 1]],
+                settlement=settlement,
+                kept=kept,
+                quarantine_decisions=decisions,
+            )
+            for k, (result, settlement) in enumerate(zip(results, settlements))
+        ]

@@ -83,8 +83,9 @@ def run_social_welfare_study(
             stay bit-identical to serial; anytime runs may prove *more*
             days within the same wall budget.
         batch_days: Columnar-only: fuse up to this many consecutive days
-            per worker task into batched array passes (bit-identical to
-            the per-day path).
+            per worker task into batched array passes; ``1`` runs
+            one-day batches through the same code, and results are
+            bit-identical for every value.
         alloc_cache: Columnar-only: a digest-keyed
             :class:`~repro.allocation.cache.AllocationCache`; repeated
             identical day instances replay stored allocations

@@ -49,6 +49,7 @@ from ..allocation.base import (
     AllocationProblem,
     Allocator,
     ColumnarAllocationResult,
+    solve_columnar_days,
 )
 from ..core.columnar import (
     ColumnarDayBatch,
@@ -123,21 +124,67 @@ def _record_from_dict(document: Dict[str, Any]) -> AllocatorDayRecord:
 StudyDayResult = Tuple[List[AllocatorDayRecord], List[Dict], List[Dict]]
 
 
+def _day_records(
+    day: int,
+    n_households: int,
+    solved: Sequence[Tuple[Allocator, Any, LoadProfile]],
+) -> Tuple[List[AllocatorDayRecord], List[Dict]]:
+    """Records and fallback-trail payloads for one day's solves.
+
+    ``solved`` lists ``(allocator, result, realized profile)`` per
+    allocator, in study order; ``result`` is either result form.
+    """
+    records: List[AllocatorDayRecord] = []
+    fallback_payloads: List[Dict] = []
+    for allocator, result, profile in solved:
+        records.append(
+            AllocatorDayRecord(
+                day=day,
+                n_households=n_households,
+                allocator=allocator.name,
+                par=profile.peak_to_average_ratio(),
+                cost=result.cost,
+                wall_time_s=result.wall_time_s,
+                proven_optimal=result.proven_optimal,
+                nodes_explored=result.nodes_explored,
+                served_tier=result.served_tier,
+                cache_hit=result.cache_hit,
+            )
+        )
+        if result.served_tier > 0:
+            fallback_payloads.append(
+                {
+                    "allocator": allocator.name,
+                    "served_tier": result.served_tier,
+                    "trail": [record.as_payload() for record in result.fallback_trail],
+                }
+            )
+    return records, fallback_payloads
+
+
+def _quarantine_payloads(decisions) -> List[Dict]:
+    """Audit payloads of the reports a screen repaired or dropped."""
+    return [
+        decision.as_payload()
+        for decision in decisions
+        if decision.action != "accepted"
+    ]
+
+
 def _run_study_day(
     task: Tuple["SocialWelfareStudy", int, int, int],
 ) -> StudyDayResult:
-    """One Figures 4-6 day: sample a population, run every allocator.
+    """One object-path Figures 4-6 day: sample a population, run every allocator.
 
     Module-level so the parallel runtime can pickle it; ``task`` carries
     the study (its allocators, generator and pricing), the root entropy,
-    the day index and the population size.
+    the day index and the population size.  Columnar studies run
+    :func:`_run_study_batch` instead.
     """
     study, root, day, n_households = task
     if study.chaos is not None:
         study.chaos.before_day(day)
     py_rng, np_rng = make_day_rngs(root, day)
-    if study.columnar:
-        return _run_study_day_columnar(study, py_rng, np_rng, day, n_households)
     profiles = study.generator.sample_population(np_rng, n_households)
     neighborhood = neighborhood_from_profiles(profiles, study.true_preference)
     reports = {
@@ -150,111 +197,18 @@ def _run_study_day(
     if study.quarantine is not None:
         screened = study.quarantine.screen(neighborhood, reports)
         reports = screened.accepted
-        quarantine_payloads = [
-            decision.as_payload()
-            for decision in screened.decisions
-            if decision.action != "accepted"
-        ]
+        quarantine_payloads = _quarantine_payloads(screened.decisions)
     problem = AllocationProblem.from_reports(
         reports, neighborhood.households, study.pricing
     )
-    records: List[AllocatorDayRecord] = []
-    fallback_payloads: List[Dict] = []
+    solved = []
     for allocator in study.allocators:
         result = allocator.solve(problem, random.Random(spawn_seed(py_rng)))
         profile = LoadProfile.from_schedule(
             result.allocation, neighborhood.households
         )
-        records.append(
-            AllocatorDayRecord(
-                day=day,
-                n_households=n_households,
-                allocator=allocator.name,
-                par=profile.peak_to_average_ratio(),
-                cost=result.cost,
-                wall_time_s=result.wall_time_s,
-                proven_optimal=result.proven_optimal,
-                nodes_explored=result.nodes_explored,
-                served_tier=result.served_tier,
-                cache_hit=result.cache_hit,
-            )
-        )
-        if result.served_tier > 0:
-            fallback_payloads.append(
-                {
-                    "allocator": allocator.name,
-                    "served_tier": result.served_tier,
-                    "trail": [record.as_payload() for record in result.fallback_trail],
-                }
-            )
-    return records, quarantine_payloads, fallback_payloads
-
-
-def _run_study_day_columnar(
-    study: "SocialWelfareStudy",
-    py_rng: random.Random,
-    np_rng,
-    day: int,
-    n_households: int,
-) -> StudyDayResult:
-    """The columnar (large-n) study day: no per-household objects.
-
-    Sampling uses :meth:`ProfileGenerator.sample_population_columnar` —
-    its own draw sequence on the day's keyed substream — so the columnar
-    study's records are reproducible per ``(seed, day)`` and bit-identical
-    across worker counts, but are *not* the object study's records at the
-    same seed (see ``docs/performance.md``).
-    """
-    cols = study.generator.sample_population_columnar(np_rng, n_households)
-    neighborhood = cols.to_neighborhood(study.true_preference)
-    reports = ColumnarReports.truthful(neighborhood)
-    quarantine_payloads: List[Dict] = []
-    if study.quarantine is not None:
-        screened = study.quarantine.screen_columnar(
-            neighborhood,
-            reports.start.astype(float),
-            reports.end.astype(float),
-            reports.duration.astype(float),
-        )
-        quarantine_payloads = [
-            decision.as_payload()
-            for decision in screened.decisions
-            if decision.action != "accepted"
-        ]
-        neighborhood = neighborhood.take(screened.kept)
-        reports = screened.accepted
-    compiled = reports.compile(neighborhood, study.pricing)
-    records: List[AllocatorDayRecord] = []
-    fallback_payloads: List[Dict] = []
-    for allocator in study.allocators:
-        result = allocator.solve_columnar(
-            compiled, study.pricing, random.Random(spawn_seed(py_rng))
-        )
-        profile = LoadProfile.from_arrays(
-            result.starts, result.starts + compiled.duration, compiled.rating
-        )
-        records.append(
-            AllocatorDayRecord(
-                day=day,
-                n_households=n_households,
-                allocator=allocator.name,
-                par=profile.peak_to_average_ratio(),
-                cost=result.cost,
-                wall_time_s=result.wall_time_s,
-                proven_optimal=result.proven_optimal,
-                nodes_explored=result.nodes_explored,
-                served_tier=result.served_tier,
-                cache_hit=result.cache_hit,
-            )
-        )
-        if result.served_tier > 0:
-            fallback_payloads.append(
-                {
-                    "allocator": allocator.name,
-                    "served_tier": result.served_tier,
-                    "trail": [record.as_payload() for record in result.fallback_trail],
-                }
-            )
+        solved.append((allocator, result, profile))
+    records, fallback_payloads = _day_records(day, n_households, solved)
     return records, quarantine_payloads, fallback_payloads
 
 
@@ -265,10 +219,11 @@ def _plan_batches(
 ) -> List[List[int]]:
     """Chunk pending days into consecutive runs of at most ``batch_days``.
 
-    Chaos crash days always become singleton chunks: a crash must fail
-    (and retry, and be audited) at exactly the day granularity of the
-    per-day oracle, so failure attribution — ``chunk[0]`` — names the
-    crashing day and no sibling day's work rides on the doomed attempt.
+    ``batch_days=1`` gives one singleton chunk per day.  Chaos crash days
+    always become singleton chunks: a crash must fail (and retry, and be
+    audited) at exactly day granularity, so failure attribution —
+    ``chunk[0]`` — names the crashing day and no sibling day's work rides
+    on the doomed attempt.
     """
     crash = chaos.plan.crash_days if chaos is not None else frozenset()
     chunks: List[List[int]] = []
@@ -292,16 +247,21 @@ def _plan_batches(
 def _run_study_batch(
     task: Tuple["SocialWelfareStudy", int, List[int], int, Optional["AllocationCache"]],
 ) -> List[StudyDayResult]:
-    """A chunk of Figures 4-6 columnar days as fused array passes.
+    """A chunk of columnar Figures 4-6 days as fused array passes.
 
-    The batched twin of per-day :func:`_run_study_day_columnar` calls:
-    every day still burns its own keyed substream (sampling draws and
-    tie-break seeds are untouched, so outputs are bit-identical to the
-    per-day path), but sampling shares one id tuple, screening runs as
-    one malformed-mask pass, and greedy allocators place the whole chunk
-    through one fused kernel sweep.  With an ``alloc_cache``, each day's
-    allocation routes through the cache instead (hits replay stored
-    results byte-identically; misses solve per day).
+    Every columnar study day runs here; a single day is a chunk of one.
+    Each day burns its own keyed substream (sampling draws and tie-break
+    seeds do not depend on the chunking, so outputs are bit-identical for
+    every ``batch_days``), sampling shares one id tuple, screening runs
+    as one malformed-mask pass, and each allocator solves the whole chunk
+    through :func:`~repro.allocation.base.solve_columnar_days` (the
+    ``alloc_cache`` when given, else the allocator's batch kernel).
+
+    Sampling uses :meth:`ProfileGenerator.sample_population_columnar` —
+    its own draw sequence on the day's keyed substream — so the columnar
+    study's records are reproducible per ``(seed, day)`` and bit-identical
+    across worker counts, but are *not* the object study's records at the
+    same seed (see ``docs/performance.md``).
     """
     study, root, chunk, n_households, alloc_cache = task
     day_rngs: List[random.Random] = []
@@ -330,11 +290,7 @@ def _run_study_batch(
         )
         compiled_days = []
         for k, screened in enumerate(screened_days):
-            quarantine_payloads[k] = [
-                decision.as_payload()
-                for decision in screened.decisions
-                if decision.action != "accepted"
-            ]
+            quarantine_payloads[k] = _quarantine_payloads(screened.decisions)
             kept_neighborhood = neighborhoods[k].take(screened.kept)
             compiled_days.append(
                 screened.accepted.compile(kept_neighborhood, study.pricing)
@@ -347,66 +303,31 @@ def _run_study_batch(
             for neighborhood in neighborhoods
         ]
 
-    # Tie-break rngs are drawn in (day, allocator) order — exactly the
-    # per-day path's draw order on each day's keyed substream — and are
-    # drawn unconditionally, so cache hits never shift later draws.
+    # Tie-break rngs are drawn in (day, allocator) order on each day's
+    # keyed substream, and are drawn unconditionally, so cache hits never
+    # shift later draws.
     rngs_by_allocator: List[List[random.Random]] = [[] for _ in study.allocators]
     for py_rng in day_rngs:
         for slot in rngs_by_allocator:
             slot.append(random.Random(spawn_seed(py_rng)))
-
-    results_by_allocator: List[List[ColumnarAllocationResult]] = []
-    for allocator, rngs in zip(study.allocators, rngs_by_allocator):
-        if alloc_cache is not None:
-            results = [
-                alloc_cache.solve_columnar(allocator, compiled, study.pricing, rng)
-                for compiled, rng in zip(compiled_days, rngs)
-            ]
-        elif hasattr(allocator, "solve_columnar_batch"):
-            results = allocator.solve_columnar_batch(
-                compiled_days, study.pricing, rngs
-            )
-        else:
-            results = [
-                allocator.solve_columnar(compiled, study.pricing, rng)
-                for compiled, rng in zip(compiled_days, rngs)
-            ]
-        results_by_allocator.append(results)
+    results_by_allocator = [
+        solve_columnar_days(
+            allocator, compiled_days, study.pricing, rngs, alloc_cache
+        )
+        for allocator, rngs in zip(study.allocators, rngs_by_allocator)
+    ]
 
     out: List[StudyDayResult] = []
     for k, day in enumerate(chunk):
         compiled = compiled_days[k]
-        records: List[AllocatorDayRecord] = []
-        fallback_payloads: List[Dict] = []
+        solved = []
         for allocator, results in zip(study.allocators, results_by_allocator):
-            result = results[k]
+            starts = results[k].starts
             profile = LoadProfile.from_arrays(
-                result.starts, result.starts + compiled.duration, compiled.rating
+                starts, starts + compiled.duration, compiled.rating
             )
-            records.append(
-                AllocatorDayRecord(
-                    day=day,
-                    n_households=n_households,
-                    allocator=allocator.name,
-                    par=profile.peak_to_average_ratio(),
-                    cost=result.cost,
-                    wall_time_s=result.wall_time_s,
-                    proven_optimal=result.proven_optimal,
-                    nodes_explored=result.nodes_explored,
-                    served_tier=result.served_tier,
-                    cache_hit=result.cache_hit,
-                )
-            )
-            if result.served_tier > 0:
-                fallback_payloads.append(
-                    {
-                        "allocator": allocator.name,
-                        "served_tier": result.served_tier,
-                        "trail": [
-                            record.as_payload() for record in result.fallback_trail
-                        ],
-                    }
-                )
+            solved.append((allocator, results[k], profile))
+        records, fallback_payloads = _day_records(day, n_households, solved)
         out.append((records, quarantine_payloads[k], fallback_payloads))
     return out
 
@@ -424,6 +345,73 @@ def _guard_checkpoint_meta(
             )
     else:
         checkpoint.append(key, context)
+
+
+def _pending_days(
+    checkpoint: Optional[CheckpointStore],
+    prefix: str,
+    days: int,
+    context: Dict[str, Any],
+) -> Tuple[Dict[str, Dict[str, Any]], List[int]]:
+    """The checkpointed payloads and the days still to compute."""
+    done: Dict[str, Dict[str, Any]] = {}
+    if checkpoint is not None:
+        _guard_checkpoint_meta(checkpoint, f"{prefix}meta", context)
+        done = checkpoint.completed()
+    return done, [day for day in range(days) if day_key(day, prefix) not in done]
+
+
+def _run_chunks(
+    day_fn: Callable,
+    tasks: List[Any],
+    chunks: List[List[int]],
+    batched: bool,
+    workers: Optional[int],
+    timeout_s: Optional[float],
+    retries: int,
+    persist: Optional[Callable[[int, Any], None]],
+    audit: Optional[AuditLog],
+) -> Dict[int, Any]:
+    """Fan one task per chunk out and key every day's result by its day.
+
+    ``batched`` tasks return one result per day of their chunk; the
+    others run a single day and return its result.  ``persist(day,
+    result)`` is called as each chunk completes.
+    """
+
+    def _per_day(value: Any) -> List[Any]:
+        return value if batched else [value]
+
+    def _persist(index: int, value: Any) -> None:
+        for day, day_value in zip(chunks[index], _per_day(value)):
+            persist(day, day_value)
+
+    def _log_failure(failure) -> None:
+        audit.append(
+            AuditEvent(
+                kind="worker_failure",
+                day=chunks[failure.index][0],
+                payload={
+                    "attempt": failure.attempt,
+                    "cause": failure.cause,
+                    "recovered": True,
+                },
+            )
+        )
+
+    per_chunk = map_tasks(
+        day_fn,
+        tasks,
+        workers,
+        timeout_s=timeout_s,
+        retries=retries,
+        on_result=_persist if persist is not None else None,
+        on_failure=_log_failure if audit is not None else None,
+    )
+    computed: Dict[int, Any] = {}
+    for chunk, value in zip(chunks, per_chunk):
+        computed.update(zip(chunk, _per_day(value)))
+    return computed
 
 
 class SocialWelfareStudy:
@@ -523,9 +511,10 @@ class SocialWelfareStudy:
             retries: Pool retry budget per failed day before inline rerun.
             batch_days: Columnar-only: run up to this many consecutive
                 days per worker task as fused array passes
-                (:func:`_run_study_batch`).  ``1`` (default) keeps the
-                per-day oracle path; results are bit-identical either
-                way (modulo per-call wall times).
+                (:func:`_run_study_batch`).  ``1`` (default) gives
+                one-day chunks through the same code; results are
+                bit-identical for every value (modulo per-call wall
+                times).
             alloc_cache: Columnar-only: route every allocation through a
                 digest-keyed :class:`~repro.allocation.cache.
                 AllocationCache` — repeated instances replay stored
@@ -540,26 +529,24 @@ class SocialWelfareStudy:
                 "batch_days > 1 and alloc_cache require the columnar path "
                 "(construct the study with columnar=True)"
             )
-        batched = self.columnar and (batch_days > 1 or alloc_cache is not None)
         root = root_entropy(seed)
-        done: Dict[str, Dict[str, Any]] = {}
-        if checkpoint is not None:
-            _guard_checkpoint_meta(
-                checkpoint,
-                f"{checkpoint_prefix}meta",
-                {"root": root, "days": days, "n_households": n_households},
-            )
-            done = checkpoint.completed()
-        pending = [
-            day for day in range(days) if day_key(day, checkpoint_prefix) not in done
-        ]
-        chunks = (
-            _plan_batches(pending, batch_days, self.chaos)
-            if batched
-            else [[day] for day in pending]
+        done, pending = _pending_days(
+            checkpoint,
+            checkpoint_prefix,
+            days,
+            {"root": root, "days": days, "n_households": n_households},
         )
+        chunks = _plan_batches(pending, batch_days, self.chaos)
+        if self.columnar:
+            day_fn: Callable = _run_study_batch
+            tasks: List[Any] = [
+                (self, root, chunk, n_households, alloc_cache) for chunk in chunks
+            ]
+        else:
+            day_fn = _run_study_day
+            tasks = [(self, root, chunk[0], n_households) for chunk in chunks]
 
-        def _append_day(day: int, value: StudyDayResult) -> None:
+        def _persist(day: int, value: StudyDayResult) -> None:
             records, quarantined, fallbacks = value
             checkpoint.append(
                 day_key(day, checkpoint_prefix),
@@ -570,56 +557,17 @@ class SocialWelfareStudy:
                 },
             )
 
-        def _log_failure(failure) -> None:
-            audit.append(
-                AuditEvent(
-                    kind="worker_failure",
-                    day=chunks[failure.index][0],
-                    payload={
-                        "attempt": failure.attempt,
-                        "cause": failure.cause,
-                        "recovered": True,
-                    },
-                )
-            )
-
-        computed: Dict[int, StudyDayResult] = {}
-        if batched:
-            tasks_b = [
-                (self, root, chunk, n_households, alloc_cache) for chunk in chunks
-            ]
-
-            def _persist_batch(index: int, value: List[StudyDayResult]) -> None:
-                for day, day_result in zip(chunks[index], value):
-                    _append_day(day, day_result)
-
-            per_chunk = map_tasks(
-                _run_study_batch,
-                tasks_b,
-                workers,
-                timeout_s=timeout_s,
-                retries=retries,
-                on_result=_persist_batch if checkpoint is not None else None,
-                on_failure=_log_failure if audit is not None else None,
-            )
-            for chunk, chunk_results in zip(chunks, per_chunk):
-                computed.update(zip(chunk, chunk_results))
-        else:
-            tasks = [(self, root, day, n_households) for day in pending]
-
-            def _persist(index: int, value: StudyDayResult) -> None:
-                _append_day(pending[index], value)
-
-            per_day = map_tasks(
-                _run_study_day,
-                tasks,
-                workers,
-                timeout_s=timeout_s,
-                retries=retries,
-                on_result=_persist if checkpoint is not None else None,
-                on_failure=_log_failure if audit is not None else None,
-            )
-            computed = dict(zip(pending, per_day))
+        computed: Dict[int, StudyDayResult] = _run_chunks(
+            day_fn,
+            tasks,
+            chunks,
+            self.columnar,
+            workers,
+            timeout_s,
+            retries,
+            _persist if checkpoint is not None else None,
+            audit,
+        )
 
         out: List[AllocatorDayRecord] = []
         for day in range(days):
@@ -760,56 +708,20 @@ def _run_simulation_day(
     )
 
 
-def _run_simulation_day_columnar(
-    task: Tuple["NeighborhoodSimulation", ColumnarNeighborhood, int, int],
-) -> ColumnarDayOutcome:
-    """One columnar mechanism day: truthful reports, closest consumption.
-
-    The columnar twin of :func:`_run_simulation_day`, restricted to the
-    default policies (enforced at construction) because custom policies
-    are written against per-household objects.
-    """
-    simulation, neighborhood, root, day = task
-    if simulation.chaos is not None:
-        simulation.chaos.before_day(day)
-    rng, _ = make_day_rngs(root, day)
-    return simulation.mechanism.run_day_columnar(
-        neighborhood, rng=random.Random(spawn_seed(rng))
-    )
-
-
-def _run_simulation_day_shm(
-    task: Tuple["NeighborhoodSimulation", SharedColumnarDay, int, int],
-) -> ColumnarDayOutcome:
-    """The shared-memory twin of :func:`_run_simulation_day_columnar`.
-
-    The task carries a :class:`~repro.sim.shm.SharedColumnarDay`
-    descriptor (a few hundred bytes) instead of the neighborhood itself;
-    the worker reconstructs zero-copy array views over the parent's
-    shared segment.  Everything downstream is the same code, so outcomes
-    are bit-identical to the pickle transport and to serial runs.
-    """
-    simulation, day, root, day_index = task
-    if simulation.chaos is not None:
-        simulation.chaos.before_day(day_index)
-    rng, _ = make_day_rngs(root, day_index)
-    return simulation.mechanism.run_day_columnar(
-        day.neighborhood(), rng=random.Random(spawn_seed(rng))
-    )
-
-
 def _run_simulation_batch(
     task: Tuple["NeighborhoodSimulation", Any, int, List[int]],
 ) -> List[ColumnarDayOutcome]:
-    """A chunk of columnar mechanism days through one fused batch run.
+    """A chunk of columnar mechanism days through the columnar day core.
 
-    The batched twin of :func:`_run_simulation_day_columnar`: each day
-    still burns its own keyed substream (chaos firing and tie-break seed
-    draw order unchanged), then the whole chunk flows through
+    Every columnar simulation day runs here; a single day is a chunk of
+    one.  Each day burns its own keyed substream (chaos firing and
+    tie-break seed draw order do not depend on the chunking), then the
+    whole chunk flows through
     :meth:`~repro.core.mechanism.EnkiMechanism.run_days_columnar` — one
-    screen, one compile, one fused placement sweep.  The neighborhood
+    screen, one compile, one allocation batch.  The neighborhood
     reference may be a :class:`~repro.sim.shm.SharedColumnarDay`
-    descriptor, reconstructed here as zero-copy views.
+    descriptor (the shared-memory transport), reconstructed here as
+    zero-copy views.
     """
     simulation, neighborhood, root, chunk = task
     rngs: List[random.Random] = []
@@ -870,20 +782,9 @@ def run_columnar_day_sharded(
         return mechanism.run_day_columnar(neighborhood, rng=rng)
 
     started_at = time.perf_counter()
-    reports = ColumnarReports.truthful(neighborhood)
-    decisions: Tuple = ()
-    kept = np.ones(len(neighborhood), dtype=bool)
-    if mechanism.quarantine is not None:
-        screened = mechanism.quarantine.screen_columnar(
-            neighborhood,
-            reports.start.astype(float),
-            reports.end.astype(float),
-            reports.duration.astype(float),
-        )
-        reports = screened.accepted
-        kept = screened.kept
-        decisions = tuple(screened.decisions)
-        neighborhood = neighborhood.take(kept)
+    neighborhood, reports, kept, decisions = mechanism.screen_day_columnar(
+        neighborhood
+    )
     n = len(neighborhood)
     shards = max(1, min(shards, n))
     seeds = [spawn_seed(rng) for _ in range(shards)]
@@ -1006,12 +907,13 @@ class NeighborhoodSimulation:
                 transports.  Non-columnar runs must leave this ``"auto"``
                 or ``"pickle"``.
             batch_days: Columnar-only: run up to this many consecutive
-                days per worker task through the fused
+                days per worker task through one
                 :meth:`~repro.core.mechanism.EnkiMechanism.
                 run_days_columnar` batch (one screen, one compile, one
-                placement sweep).  ``1`` (default) keeps the per-day
-                path; outcomes are bit-identical either way (modulo
-                per-call wall times).
+                placement sweep).  ``1`` (default) gives one-day
+                batches through the same code; outcomes are
+                bit-identical for every value (modulo per-call wall
+                times).
 
         On the columnar path (``columnar=True``), ``neighborhood`` may be
         either representation (an object :class:`Neighborhood` is lowered
@@ -1046,94 +948,57 @@ class NeighborhoodSimulation:
             if isinstance(neighborhood, Neighborhood):
                 neighborhood = ColumnarNeighborhood.from_objects(neighborhood)
         root = root_entropy(seed)
-        done: Dict[str, Dict[str, Any]] = {}
-        if checkpoint is not None:
-            _guard_checkpoint_meta(
-                checkpoint,
-                f"{checkpoint_prefix}meta",
-                {"root": root, "days": days, "n_households": len(neighborhood)},
-            )
-            done = checkpoint.completed()
-        pending = [
-            day for day in range(days) if day_key(day, checkpoint_prefix) not in done
-        ]
-        batched = self.columnar and batch_days > 1
-        chunks = (
-            _plan_batches(pending, batch_days, self.chaos)
-            if batched
-            else [[day] for day in pending]
+        done, pending = _pending_days(
+            checkpoint,
+            checkpoint_prefix,
+            days,
+            {"root": root, "days": days, "n_households": len(neighborhood)},
         )
-        day_fn: Callable = (
-            _run_simulation_day_columnar if self.columnar else _run_simulation_day
-        )
-        day_ref: Any = neighborhood
+        chunks = _plan_batches(pending, batch_days, self.chaos)
         arena: Optional[SharedArena] = None
-        if self.columnar and (
-            transport == "shm"
-            or (transport == "auto" and workers not in (None, 1))
-        ):
-            arena = SharedArena()
-            day_ref = arena.pack_day(neighborhood)
-            day_fn = _run_simulation_day_shm
-        if batched:
-            day_fn = _run_simulation_batch
-            tasks = [(self, day_ref, root, chunk) for chunk in chunks]
+        if self.columnar:
+            day_ref: Any = neighborhood
+            if transport == "shm" or (
+                transport == "auto" and workers not in (None, 1)
+            ):
+                arena = SharedArena()
+                day_ref = arena.pack_day(neighborhood)
+            day_fn: Callable = _run_simulation_batch
+            tasks: List[Any] = [(self, day_ref, root, chunk) for chunk in chunks]
         else:
-            tasks = [(self, day_ref, root, day) for day in pending]
+            day_fn = _run_simulation_day
+            tasks = [(self, neighborhood, root, chunk[0]) for chunk in chunks]
 
-        def _persist(index: int, outcome: DayOutcome) -> None:
+        def _persist(day: int, outcome: DayOutcome) -> None:
             checkpoint.append(
-                day_key(pending[index], checkpoint_prefix),
-                day_outcome_to_dict(outcome),
-            )
-
-        def _log_failure(failure) -> None:
-            audit.append(
-                AuditEvent(
-                    kind="worker_failure",
-                    day=chunks[failure.index][0],
-                    payload={
-                        "attempt": failure.attempt,
-                        "cause": failure.cause,
-                        "recovered": True,
-                    },
-                )
+                day_key(day, checkpoint_prefix), day_outcome_to_dict(outcome)
             )
 
         try:
-            computed_list = map_tasks(
+            computed = _run_chunks(
                 day_fn,
                 tasks,
+                chunks,
+                self.columnar,
                 workers,
-                timeout_s=timeout_s,
-                retries=retries,
-                on_result=_persist if checkpoint is not None else None,
-                on_failure=_log_failure if audit is not None else None,
+                timeout_s,
+                retries,
+                _persist if checkpoint is not None else None,
+                audit,
             )
         finally:
             if arena is not None:
                 arena.dispose()
-        if batched:
-            computed = {}
-            for chunk, chunk_outcomes in zip(chunks, computed_list):
-                computed.update(zip(chunk, chunk_outcomes))
-        else:
-            computed = dict(zip(pending, computed_list))
 
         outcomes: List[DayOutcome] = []
         for day in range(days):
             if day in computed:
                 outcome = computed[day]
                 if audit is not None:
-                    for decision in outcome.quarantine_decisions:
-                        if decision.action != "accepted":
-                            audit.append(
-                                AuditEvent(
-                                    kind="report_quarantined",
-                                    day=day,
-                                    payload=decision.as_payload(),
-                                )
-                            )
+                    for payload in _quarantine_payloads(outcome.quarantine_decisions):
+                        audit.append(
+                            AuditEvent(kind="report_quarantined", day=day, payload=payload)
+                        )
                     if outcome.allocation_result.served_tier > 0:
                         audit.append(
                             AuditEvent(

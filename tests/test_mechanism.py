@@ -2,8 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.core.columnar import ColumnarNeighborhood
 from repro.core.intervals import Interval
 from repro.core.mechanism import (
     EnkiMechanism,
@@ -13,6 +15,7 @@ from repro.core.mechanism import (
 )
 from repro.core.types import HouseholdType, Neighborhood, Preference, Report
 from repro.pricing.quadratic import QuadraticPricing
+from repro.robustness.errors import InvalidReportError
 
 
 class TestTruthfulReports:
@@ -137,3 +140,57 @@ class TestMechanismValidation:
                 {"A": Interval(0, 2)},
                 {"A": Interval(0, 2)},
             )
+
+
+def _wire_day():
+    return ColumnarNeighborhood(
+        ids=("a", "b", "c"),
+        true_start=np.array([2, 10, 16]),
+        true_end=np.array([12, 20, 24]),
+        duration=np.array([4, 3, 2]),
+        rating=np.full(3, 1.5),
+        valuation=np.full(3, 2.0),
+    )
+
+
+class TestRawWireWithoutQuarantine:
+    """Raw wire rows are screened under ``reject`` when no quarantine is set."""
+
+    @pytest.mark.parametrize(
+        "row, bounds, reason",
+        [
+            (0, (2.0, 12.0, 3.0), "duration-mismatch"),  # metered 4, reported 3
+            (1, (-4.0, 20.0, 3.0), "out-of-grid"),
+            (2, (float("nan"), 24.0, 2.0), "non-integer-bound"),
+        ],
+    )
+    def test_malformed_row_raises_invalid_report(self, row, bounds, reason):
+        neighborhood = _wire_day()
+        begin, end, duration = neighborhood.truthful_wire()
+        begin[row], end[row], duration[row] = bounds
+        with pytest.raises(InvalidReportError) as excinfo:
+            EnkiMechanism().run_day_columnar_raw(
+                neighborhood, begin, end, duration, rng=random.Random(1)
+            )
+        assert excinfo.value.household_id == neighborhood.ids[row]
+        assert excinfo.value.reason == reason
+
+    def test_first_malformed_row_is_reported(self):
+        neighborhood = _wire_day()
+        begin, end, duration = neighborhood.truthful_wire()
+        begin[1] = -4.0
+        end[2] = float("nan")
+        with pytest.raises(InvalidReportError) as excinfo:
+            EnkiMechanism().run_day_columnar_raw(neighborhood, begin, end, duration)
+        assert excinfo.value.household_id == "b"
+
+    def test_clean_wire_settles_like_the_typed_day(self):
+        neighborhood = _wire_day()
+        raw = EnkiMechanism().run_day_columnar_raw(
+            neighborhood, *neighborhood.truthful_wire(), rng=random.Random(3)
+        )
+        typed = EnkiMechanism().run_day_columnar(neighborhood, rng=random.Random(3))
+        assert raw.quarantine_decisions == ()
+        assert bool(raw.kept.all())
+        assert np.array_equal(raw.allocation_starts, typed.allocation_starts)
+        assert np.array_equal(raw.settlement.payments, typed.settlement.payments)
