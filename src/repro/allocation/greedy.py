@@ -12,20 +12,24 @@ Two solve paths share the placement logic:
 * :meth:`GreedyFlexibilityAllocator.solve` — the object path over
   ``AllocationItem``s, with a fresh prefix-sum rebuild per placement.
 * :meth:`GreedyFlexibilityAllocator.solve_columnar` — the large-n kernel:
-  one ``flexibility_vector`` call, one ``np.lexsort`` with vectorized
-  random tie-break keys, then the whole ordered-placement sweep in
-  :func:`repro.kernels.placement.place_day` — numba-compiled when the
-  kernel registry selects it, the bit-identical pure-python reference
-  otherwise, with the backend that ran recorded on the result.  On the
-  paper's exact-binary ratings every partial sum is exact, so the two
-  paths pick identical placements (pinned by
-  ``tests/test_columnar_equivalence.py``).
+  one ``flexibility_vector`` call, tie-break keys drawn in row order
+  from the rng, one ``np.lexsort``, then the whole ordered-placement
+  sweep in :func:`repro.kernels.placement.place_day`
+  (:meth:`~GreedyFlexibilityAllocator.solve_columnar_batch` runs D days
+  through :func:`repro.kernels.placement.place_batch`).  The python build
+  of that sweep is one loop over plain lists (about 0.4 s for a
+  quadratic-priced n = 100k day on a 2-core box), and a numba build runs
+  instead when the kernel registry selects it; the backend that ran is
+  recorded on the result.  On the paper's exact-binary ratings every
+  partial sum is exact, so the object and columnar paths pick identical
+  placements (pinned by ``tests/test_columnar_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import random
 import time
+from itertools import islice
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -34,7 +38,7 @@ from ..core.flexibility import flexibility_vector
 from ..core.intervals import HOURS_PER_DAY, Interval
 from ..core.types import AllocationMap, HouseholdId
 from ..kernels import active_backend
-from ..kernels.placement import PlacementScratch, place_batch, place_day
+from ..kernels.placement import place_batch, place_day
 from ..pricing.base import PricingModel
 from ..pricing.load_profile import LoadProfile
 from ..pricing.quadratic import QuadraticPricing
@@ -45,6 +49,16 @@ from .base import (
     Allocator,
     ColumnarAllocationResult,
 )
+
+
+def _tie_break_keys(rng: random.Random, n: int) -> np.ndarray:
+    """``n`` random tie-break keys, one ``rng.random()`` call per row in order.
+
+    The draws go through the rng's own bound ``random`` (so subclasses and
+    overrides are honored) but without a Python frame per draw: the same
+    sequence as ``[rng.random() for _ in range(n)]``.
+    """
+    return np.fromiter(islice(iter(rng.random, None), n), dtype=float, count=n)
 
 
 def predicted_flexibility_for_problem(
@@ -161,9 +175,7 @@ class GreedyFlexibilityAllocator(Allocator):
         flex = flexibility_vector(
             compiled.win_start, compiled.win_end, compiled.duration
         )
-        keys = np.fromiter(
-            (rng.random() for _ in range(n)), dtype=float, count=n
-        )
+        keys = _tie_break_keys(rng, n)
         order = np.lexsort((keys, flex if self.ascending else -flex))
 
         win_start, win_end, duration, rating = compiled.kernel_columns()
@@ -175,7 +187,6 @@ class GreedyFlexibilityAllocator(Allocator):
             rating,
             pricing,
             starts_out,
-            PlacementScratch(),
         )
 
         # Cost through the same difference-array builder the object path's
@@ -240,9 +251,7 @@ class GreedyFlexibilityAllocator(Allocator):
                     compiled.win_start, compiled.win_end, compiled.duration
                 )
             )
-            key_parts.append(
-                np.fromiter((rng.random() for _ in range(n)), dtype=float, count=n)
-            )
+            key_parts.append(_tie_break_keys(rng, n))
         if total:
             flex = np.concatenate(flex_parts)
             keys = np.concatenate(key_parts)
@@ -264,7 +273,6 @@ class GreedyFlexibilityAllocator(Allocator):
                 rating,
                 pricing,
                 starts_out,
-                PlacementScratch(),
             )
         else:
             backend = active_backend()

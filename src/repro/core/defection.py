@@ -134,6 +134,8 @@ def defection_vector(
     deviated_loads = base_profile.as_array()[None, :] + np.cumsum(
         deltas[:, :HOURS_PER_DAY], axis=1
     )
+    # Removing an inexact rating can round an emptied hour just below zero.
+    np.maximum(deviated_loads, 0.0, out=deviated_loads)
     deviated_costs = pricing.cost_batch(deviated_loads)
 
     overlaps = np.clip(

@@ -212,8 +212,9 @@ class EnkiMechanism:
         seed: Seed for allocation tie-breaking when no rng is provided.
         quarantine: Optional report screen applied in front of every
             allocation (:class:`repro.robustness.quarantine.Quarantine`).
-            Without one, reports are trusted as typed values — the
-            pre-robustness behaviour.
+            Without one, reports are trusted as typed values, except
+            that a reported duration disputing the metered one raises
+            :class:`~repro.robustness.errors.InvalidReportError`.
         alloc_cache: Optional
             :class:`repro.allocation.cache.AllocationCache` every solve
             routes through.  Hits replay byte-identical results with
@@ -440,6 +441,16 @@ class EnkiMechanism:
         if screened is not None:
             reports = screened.accepted
             decisions = tuple(screened.decisions)
+        elif any(
+            report.preference.duration != neighborhood[hid].duration
+            for hid, report in reports.items()
+            if hid in neighborhood
+        ):
+            # A duration disputing the meter is rejected as on the
+            # columnar day: the reject screen raises on the first one.
+            from ..robustness.quarantine import Quarantine
+
+            Quarantine("reject").screen(neighborhood, reports)
         allocation_result = self.allocate(neighborhood, reports, rng, pre_screened=True)
         if consumption is None:
             consumption = default_consumption(neighborhood, allocation_result.allocation)
@@ -555,8 +566,11 @@ class EnkiMechanism:
         arrays ``(begin, end, duration)``, and returns the surviving
         neighborhood rows, their reports, the kept mask over the input
         rows and the quarantine decisions.  Without a quarantine, typed
-        reports are trusted as they are, while wire arrays are screened
-        under the ``reject`` policy so the first malformed row raises
+        reports are trusted as they are unless a reported duration
+        disputes the metered one (the day would be placed with one
+        duration and billed with the other), while wire arrays and such
+        disputed typed rows are screened under the ``reject`` policy, so
+        the first malformed row raises
         :class:`~repro.robustness.errors.InvalidReportError`.
         """
         quarantine = self.quarantine
@@ -565,7 +579,9 @@ class EnkiMechanism:
                 reports = ColumnarReports.truthful(neighborhood)
             elif reports.ids != neighborhood.ids:
                 raise ValueError("reports and neighborhood rows are not aligned")
-            if quarantine is None:
+            if quarantine is None and np.array_equal(
+                reports.duration, neighborhood.duration
+            ):
                 kept = np.ones(len(neighborhood), dtype=bool)
                 return neighborhood, reports, kept, ()
             wire = (
@@ -573,7 +589,7 @@ class EnkiMechanism:
                 reports.end.astype(float),
                 reports.duration.astype(float),
             )
-        elif quarantine is None:
+        if quarantine is None:
             from ..robustness.quarantine import Quarantine
 
             quarantine = Quarantine("reject")

@@ -3,9 +3,10 @@
 The two interpreted inner loops that dominate large-n days — the greedy
 ``solve_columnar`` ordered-placement sweep and the branch-and-bound child
 expansion — have compiled builds in :mod:`repro.kernels._numba_impl`
-(numba ``@njit(cache=True)``) and pure-NumPy/Python reference builds in
-:mod:`repro.kernels.placement` / :mod:`repro.kernels.bnb`.  This module
-is the dispatcher that picks between them:
+(numba ``@njit(cache=True)``) and pure-Python reference builds in
+:mod:`repro.kernels.placement` (a plain-list sweep) and
+:mod:`repro.kernels.bnb`.  This module is the dispatcher that picks
+between them:
 
 * **auto** (default): ``numba`` when the import succeeds, else ``python``
   with a once-logged info line — a missing numba never fails a run.
@@ -15,9 +16,9 @@ is the dispatcher that picks between them:
 
 Both backends are **bit-identical by construction**: processing order and
 random tie-break keys are drawn outside the kernels, and the compiled
-loops replicate the exact float operation sequence of the numpy
-expressions they replace (same accumulation order, same first-minimum
-argmin, same stable sort).  ``tests/test_kernels.py`` pins this.
+loops replicate the exact float operation sequence of the reference
+builds (same accumulation order, same first-minimum argmin, same stable
+sort).  ``tests/test_kernels.py`` pins this.
 
 Compilation happens once per process.  :func:`warm_kernels` triggers it
 eagerly (and times it); the parallel runtime warms the parent before

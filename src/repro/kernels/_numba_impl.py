@@ -2,8 +2,8 @@
 
 Imported only through :func:`repro.kernels._load_impl`, so a missing or
 broken numba never touches the rest of the package.  Every function here
-replicates, float operation for float operation, the numpy expressions of
-the pure-python reference builds in :mod:`repro.kernels.placement` and
+replicates, float operation for float operation, the pure-python
+reference builds in :mod:`repro.kernels.placement` and
 :mod:`repro.kernels.bnb`:
 
 * prefix sums accumulate left to right exactly like ``np.cumsum``;
@@ -37,7 +37,7 @@ def place_quadratic(
     existing loads under the block — ``prefix[s + v] - prefix[s]`` against
     the maintained prefix sum.  The prefix vector is updated incrementally
     with the ramp ``r * min(j - s, v)``, the same increments the python
-    build applies via its precomputed ``_RAMPS`` rows.
+    sweep adds.
     """
     hours = loads.shape[0]
     for at in range(order.shape[0]):

@@ -59,12 +59,17 @@ class LoadProfile:
         settlement hot path: each block ``[starts[i], ends[i])`` contributes
         ``ratings[i]`` kW per covered hour.  Implemented as a difference
         array (+rating at start, -rating at end) followed by one cumulative
-        sum, so cost is O(n + 24) with no per-household Python work.
+        sum, so cost is O(n + 24) with no per-household Python work.  With
+        inexact ratings (0.3, 1.37, ...) the +/- pairs of an hour that
+        empties out can round to a residue just below zero; loads are
+        clamped at zero, which leaves every non-negative sum unchanged.
         """
         delta = np.zeros(HOURS_PER_DAY + 1, dtype=float)
         np.add.at(delta, starts, ratings)
         np.add.at(delta, ends, -ratings)
-        return cls._wrap(np.cumsum(delta[:HOURS_PER_DAY]))
+        loads = np.cumsum(delta[:HOURS_PER_DAY])
+        np.maximum(loads, 0.0, out=loads)
+        return cls._wrap(loads)
 
     @classmethod
     def from_intervals(

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.allocation.arrays import compile_problem
 from repro.allocation.base import AllocationProblem
 from repro.allocation.exhaustive import ExhaustiveAllocator
 from repro.allocation.greedy import (
@@ -70,6 +71,21 @@ class TestGreedy:
         problem = _random_problem(pricing, n=5)
         result = GreedyFlexibilityAllocator(seed=1).solve(problem)
         assert problem.is_feasible(result.allocation)
+
+    def test_columnar_tie_keys_draw_through_an_rng_subclass(self, pricing):
+        class Reversed(random.Random):
+            def random(self):
+                return 1.0 - super().random()
+
+        problem = _random_problem(pricing, n=12, seed=5)
+        allocator = GreedyFlexibilityAllocator()
+        by_items = allocator.solve(problem, Reversed(9))
+        by_columns = allocator.solve_columnar(
+            compile_problem(problem), pricing, Reversed(9)
+        )
+        assert by_columns.starts.tolist() == [
+            by_items.allocation[item.household_id].start for item in problem.items
+        ]
 
     def test_descending_order_usually_worse_or_equal(self, pricing):
         problem = _random_problem(pricing, n=10, seed=3)

@@ -2,11 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.core.defection import defection_score, defection_scores, overlap_fraction
+from repro.core.defection import (
+    defection_score,
+    defection_scores,
+    defection_vector,
+    overlap_fraction,
+)
 from repro.core.intervals import Interval
 from repro.core.types import HouseholdType, Preference
+from repro.pricing.piecewise import TwoStepPricing
 from repro.pricing.quadratic import QuadraticPricing
 
 
@@ -31,6 +38,23 @@ class TestOverlapFraction:
     def test_mismatched_durations_rejected(self):
         with pytest.raises(ValueError):
             overlap_fraction(Interval(14, 18), Interval(15, 17))
+
+
+class TestDefectionVector:
+    def test_inexact_ratings_never_round_below_zero(self):
+        # Moving the 2.9 kW block off [9, 12) leaves a -4.4e-16 residue at
+        # an emptied hour, which TwoStepPricing would reject.
+        alloc_starts = np.array([10, 3, 9])
+        alloc_ends = np.array([11, 6, 12])
+        cons_starts = np.array([10, 3, 15])
+        cons_ends = np.array([11, 6, 18])
+        scores = defection_vector(
+            alloc_starts, alloc_ends, cons_starts, cons_ends,
+            np.array([1.37, 0.3, 2.9]),
+            TwoStepPricing(threshold_kw=1.0, low_rate=1.0, high_rate=4.0),
+        )
+        assert scores[0] == scores[1] == 0.0
+        assert math.isfinite(scores[2])
 
 
 class TestDefectionScore:

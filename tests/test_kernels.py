@@ -39,7 +39,8 @@ from repro.allocation.optimal import BranchAndBoundAllocator
 from repro.core.flexibility import flexibility_vector
 from repro.core.intervals import HOURS_PER_DAY
 from repro.kernels.bnb import child_expander
-from repro.kernels.placement import PlacementScratch, place_day
+from repro.kernels.placement import PlacementScratch, place_batch, place_day
+from repro.pricing.base import PricingModel
 from repro.pricing.load_profile import LoadProfile
 from repro.pricing.piecewise import TwoStepPricing
 from repro.pricing.quadratic import QuadraticPricing
@@ -52,6 +53,20 @@ _PRICINGS = (
     QuadraticPricing(sigma=0.3),
     TwoStepPricing(threshold_kw=6.0, low_rate=1.0, high_rate=4.0),
 )
+
+#: Ratings whose load sums round: identity must hold beyond exact floats.
+_INEXACT_RATINGS = (0.3, 1.37, 2.9)
+
+
+class _HourlyOnlyPricing(PricingModel):
+    """A custom convex price defining only ``hourly_cost``.
+
+    Placement under it runs the generic ``marginal_cost`` path.
+    """
+
+    def hourly_cost(self, load_kw: float) -> float:
+        return 0.05 * load_kw * load_kw * load_kw + 0.7 * load_kw
+
 
 #: Every backend usable on this box; the identity suites quantify over it.
 BACKENDS = ["python"] + (["numba"] if kernels.numba_available() else [])
@@ -125,11 +140,14 @@ def _legacy_solve_columnar(allocator, compiled, pricing, rng):
 # -------------------------------------------------------------- strategies
 
 @st.composite
-def compiled_problems(draw, max_n=25):
+def compiled_problems(
+    draw, max_n=25, ratings=_EXACT_RATINGS, pricings=_PRICINGS
+):
     """Random compiled instances including n = 0/1 and degenerate windows.
 
     Windows include slack-free ones (window length == duration: exactly
-    one placement) and full-day ones; ratings are exact binary floats.
+    one placement) and full-day ones; ratings are drawn from ``ratings``
+    (exact binary floats by default).
     """
     n = draw(st.integers(min_value=0, max_value=max_n))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
@@ -141,8 +159,8 @@ def compiled_problems(draw, max_n=25):
         win_start.append(a)
         win_end.append(a + v + slack)
         duration.append(v)
-        rating.append(rng.choice(_EXACT_RATINGS))
-    pricing = draw(st.sampled_from(_PRICINGS))
+        rating.append(rng.choice(ratings))
+    pricing = draw(st.sampled_from(pricings))
     compiled = CompiledProblem.from_arrays(
         ids=tuple(f"h{j:03d}" for j in range(n)),
         win_start=np.array(win_start, dtype=np.intp),
@@ -204,6 +222,84 @@ class TestPlacementBitIdentity:
                 reference = starts_out
             else:
                 assert np.array_equal(starts_out, reference)
+
+    @given(
+        compiled_problems(
+            ratings=_INEXACT_RATINGS,
+            pricings=_PRICINGS + (_HourlyOnlyPricing(),),
+        ),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_inexact_ratings_match_the_legacy_loop(self, case, seed):
+        """Same float operations in the same order: identity for any rating."""
+        compiled, pricing = case
+        allocator = GreedyFlexibilityAllocator()
+        legacy_starts, legacy_cost = _legacy_solve_columnar(
+            allocator, compiled, pricing, random.Random(seed)
+        )
+        for backend in BACKENDS:
+            with kernels.forced_backend(backend):
+                result = allocator.solve_columnar(
+                    compiled, pricing, random.Random(seed)
+                )
+            assert np.array_equal(result.starts, legacy_starts), backend
+            assert result.cost == legacy_cost, backend
+
+    @given(
+        st.lists(
+            compiled_problems(
+                max_n=15,
+                ratings=_EXACT_RATINGS + _INEXACT_RATINGS,
+                pricings=(_PRICINGS[0],),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from(_PRICINGS + (_HourlyOnlyPricing(),)),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_place_batch_matches_separate_days(self, cases, pricing, seed):
+        """D ragged segments, empty days included, equal D place_day calls."""
+        days = [compiled for compiled, _ in cases]
+        empty = np.zeros(0, dtype=np.intp)
+        days.insert(len(days) // 2, CompiledProblem.from_arrays(
+            ids=(), win_start=empty, win_end=empty, duration=empty,
+            rating=np.zeros(0),
+        ))
+        rng = np.random.default_rng(seed)
+        lengths = [len(day) for day in days]
+        offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.intp)
+        local_orders = [
+            np.asarray(rng.permutation(n), dtype=np.intp) for n in lengths
+        ]
+        order = np.concatenate(
+            [local + offsets[k] for k, local in enumerate(local_orders)]
+        ).astype(np.intp)
+        stacked = [
+            np.concatenate([getattr(day, name) for day in days])
+            for name in ("win_start", "win_end", "duration", "rating")
+        ]
+        for backend in BACKENDS:
+            with kernels.forced_backend(backend):
+                batch_out = np.zeros(int(offsets[-1]), dtype=np.intp)
+                place_batch(offsets, order, *stacked, pricing, batch_out)
+                for k, day in enumerate(days):
+                    day_out = np.zeros(lengths[k], dtype=np.intp)
+                    place_day(
+                        local_orders[k],
+                        day.win_start,
+                        day.win_end,
+                        day.duration,
+                        day.rating,
+                        pricing,
+                        day_out,
+                        PlacementScratch(),
+                    )
+                    assert np.array_equal(
+                        batch_out[offsets[k]:offsets[k + 1]], day_out
+                    ), (backend, k)
 
     def test_subclassed_pricing_takes_the_python_path(self):
         """``type() is`` dispatch: pricing subclasses never hit the JIT."""

@@ -6,6 +6,7 @@ import pytest
 from repro.core.intervals import Interval
 from repro.core.types import HouseholdType, Preference
 from repro.pricing.load_profile import LoadProfile
+from repro.pricing.piecewise import TwoStepPricing
 
 
 class TestConstruction:
@@ -81,6 +82,20 @@ class TestFromSchedule:
     def test_defaults_to_2kw(self):
         profile = LoadProfile.from_schedule({"A": Interval(18, 20)})
         assert profile[18] == 2.0
+
+
+class TestFromArrays:
+    def test_inexact_ratings_never_round_below_zero(self):
+        # +1.37 +2.9 at hour 9, -2.9 at 10 and -1.37 at 12: the emptied
+        # hours 12.. would sum to -4.4e-16 and break TwoStepPricing.
+        profile = LoadProfile.from_arrays(
+            np.array([9, 9]), np.array([12, 10]), np.array([1.37, 2.9])
+        )
+        loads = profile.as_array()
+        assert loads[9] == 1.37 + 2.9
+        assert loads[10] > 0.0
+        assert np.all(loads[:9] == 0.0) and np.all(loads[12:] == 0.0)
+        TwoStepPricing(threshold_kw=6.0, low_rate=1.0, high_rate=4.0).cost(profile)
 
 
 class TestPar:

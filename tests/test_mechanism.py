@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.columnar import ColumnarNeighborhood
+from repro.core.columnar import ColumnarNeighborhood, ColumnarReports
 from repro.core.intervals import Interval
 from repro.core.mechanism import (
     EnkiMechanism,
@@ -14,7 +14,6 @@ from repro.core.mechanism import (
     truthful_reports,
 )
 from repro.core.types import HouseholdType, Neighborhood, Preference, Report
-from repro.pricing.quadratic import QuadraticPricing
 from repro.robustness.errors import InvalidReportError
 
 
@@ -194,3 +193,86 @@ class TestRawWireWithoutQuarantine:
         assert bool(raw.kept.all())
         assert np.array_equal(raw.allocation_starts, typed.allocation_starts)
         assert np.array_equal(raw.settlement.payments, typed.settlement.payments)
+
+
+def _day_ending_flush():
+    """``b`` is rigid at hour 20, so a 3 h block for ``a`` lands at 21."""
+    return ColumnarNeighborhood(
+        ids=("a", "b"),
+        true_start=np.array([20, 20]),
+        true_end=np.array([24, 21]),
+        duration=np.array([4, 1]),
+        rating=np.full(2, 1.5),
+        valuation=np.full(2, 2.0),
+    )
+
+
+class TestTypedReportsDisputingTheMeter:
+    """Typed reports without a quarantine must bill the metered duration.
+
+    Otherwise the day is placed with the reported duration and settled
+    with the metered one: the allocation and the bill disagree, or the
+    metered block runs past the end of the day.
+    """
+
+    @pytest.mark.parametrize(
+        "make_day, row, reported",
+        [
+            (_wire_day, 0, 3),  # placed as 3 h, billed as 4 h
+            (_wire_day, 1, 5),  # placed as 5 h, billed as 3 h
+            (_day_ending_flush, 0, 3),  # billed block [21, 25) overruns the day
+        ],
+    )
+    def test_disputed_duration_raises_on_both_day_paths(
+        self, make_day, row, reported
+    ):
+        neighborhood = make_day()
+        duration = neighborhood.duration.copy()
+        duration[row] = reported
+        reports = ColumnarReports(
+            ids=neighborhood.ids,
+            start=neighborhood.true_start.copy(),
+            end=neighborhood.true_end.copy(),
+            duration=duration,
+        )
+        with pytest.raises(InvalidReportError) as columnar:
+            EnkiMechanism().run_day_columnar(
+                neighborhood, reports, rng=random.Random(1)
+            )
+        with pytest.raises(InvalidReportError) as objects:
+            EnkiMechanism().run_day(
+                neighborhood.to_objects(), reports.to_objects(),
+                rng=random.Random(1),
+            )
+        for excinfo in (columnar, objects):
+            assert excinfo.value.household_id == neighborhood.ids[row]
+            assert excinfo.value.reason == "duration-mismatch"
+            assert excinfo.value.exit_code == 11
+
+    def test_first_disputed_row_is_named(self):
+        neighborhood = _wire_day()
+        reports = ColumnarReports(
+            ids=neighborhood.ids,
+            start=neighborhood.true_start.copy(),
+            end=neighborhood.true_end.copy(),
+            duration=np.array([4, 2, 1]),
+        )
+        with pytest.raises(InvalidReportError) as excinfo:
+            EnkiMechanism().run_days_columnar(
+                neighborhood, [random.Random(1), random.Random(2)], reports
+            )
+        assert excinfo.value.household_id == "b"
+
+    def test_metered_typed_reports_stay_trusted(self):
+        neighborhood = _wire_day()
+        reports = ColumnarReports(
+            ids=neighborhood.ids,
+            start=np.array([3, 10, 18]),
+            end=np.array([9, 15, 24]),
+            duration=neighborhood.duration.copy(),
+        )
+        outcome = EnkiMechanism().run_day_columnar(
+            neighborhood, reports, rng=random.Random(1)
+        )
+        assert outcome.quarantine_decisions == ()
+        assert outcome.allocation_result.cost == outcome.settlement.total_cost
